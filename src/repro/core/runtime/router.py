@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
 from repro.core.runtime.context import ServerContext
-from repro.geometry import RegionIndex
+from repro.geometry import Rect, RegionIndex
 from repro.net.message import Message
 
 
@@ -20,6 +20,10 @@ class SpatialRouter:
 
     def __init__(self, ctx: ServerContext) -> None:
         self._ctx = ctx
+        # radius -> the partition's reach rect, for the partition object
+        # in ``_reach_partition``; any new partition clears the cache.
+        self._reach: dict[float, Rect] = {}
+        self._reach_partition: Rect | None = None
 
     # ------------------------------------------------------------------
     # Data plane
@@ -69,9 +73,15 @@ class SpatialRouter:
             if packet.radius is not None
             else ctx.config.visibility_radius
         )
-        reach = ctx.metric.expand_rect(ctx.partition, radius)
+        partition = ctx.partition
+        if partition is not self._reach_partition:
+            self._reach_partition = partition
+            self._reach.clear()
+        reach = self._reach.get(radius)
+        if reach is None:
+            reach = self._reach[radius] = ctx.metric.expand_rect(partition, radius)
         relevant = reach.contains_closed(packet.route_point()) or (
-            packet.dest is not None and ctx.partition.contains(packet.dest)
+            packet.dest is not None and partition.contains(packet.dest)
         )
         if not relevant:
             ctx.stats.stale_forwards += 1

@@ -94,6 +94,9 @@ class GameServer(Node):
         # well inside the visibility radius, so overlap-region routing
         # still reaches every server that must stay consistent.
         self._handoff_margin = handoff_margin_fraction * profile.visibility_radius
+        #: (range, range expanded by the handoff margin), rebuilt when
+        #: ``_range`` is replaced.
+        self._handoff_range = (partition, partition.expanded(self._handoff_margin))
         self._clients: dict[str, ClientRecord] = {}
         #: Recently departed clients -> the game server they moved to.
         self._tombstones: dict[str, str] = {}
@@ -232,9 +235,11 @@ class GameServer(Node):
             payload_bytes=self._profile.update_bytes,
             client_id=update.client_id,
         )
-        if not self._range.expanded(self._handoff_margin).contains(
-            update.position
-        ):
+        if self._handoff_range[0] is not self._range:
+            self._handoff_range = (
+                self._range, self._range.expanded(self._handoff_margin)
+            )
+        if not self._handoff_range[1].contains(update.position):
             self._redirect(update.client_id)
 
     @handles("client.action")

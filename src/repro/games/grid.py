@@ -8,6 +8,7 @@ queries stop early at the snapshot's entity cap.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 from repro.geometry import Vec2
@@ -48,23 +49,35 @@ class SpatialGrid:
         cap: int,
         exclude_id: str | None = None,
     ) -> int:
-        """Entities within *radius* of *position*, early-exiting at *cap*."""
+        """Entities within *radius* of *position*, early-exiting at *cap*.
+
+        A point within *radius* lies at most ``ceil(radius / cell)``
+        cells away along each axis, so that many rings around the
+        query's cell cover the disc (3x3 cells when ``radius == cell``).
+        The result is ``min(true count, cap)``, independent of the
+        order cells are scanned in.
+        """
         if radius <= 0 or cap <= 0:
             return 0
         r_sq = radius * radius
-        cells = int(radius // self._cell) + 1
-        cx, cy = self._key(position)
+        cell = self._cell
+        rings = math.ceil(radius / cell)
+        px = position.x
+        py = position.y
+        cx = int(px // cell)
+        cy = int(py // cell)
+        buckets = self._buckets
         found = 0
-        for ix in range(cx - cells, cx + cells + 1):
-            for iy in range(cy - cells, cy + cells + 1):
-                bucket = self._buckets.get((ix, iy))
+        for ix in range(cx - rings, cx + rings + 1):
+            for iy in range(cy - rings, cy + rings + 1):
+                bucket = buckets.get((ix, iy))
                 if not bucket:
                     continue
                 for entity_id, entity_pos in bucket:
                     if entity_id == exclude_id:
                         continue
-                    dx = entity_pos.x - position.x
-                    dy = entity_pos.y - position.y
+                    dx = entity_pos.x - px
+                    dy = entity_pos.y - py
                     if dx * dx + dy * dy <= r_sq:
                         found += 1
                         if found >= cap:

@@ -38,12 +38,9 @@ from repro.harness.lane_state import MatrixLaneState
 from repro.net.network import Network
 from repro.net.sharded import ShardedNetwork
 from repro.sim.kernel import Simulator
-from repro.sim.sharded import ShardContext, ShardedSimulator
+from repro.sim.sharded import ShardedSimulator
 
-__all__ = [
-    "ShardedMatrixExperiment",
-    "token_ring_builder",
-]
+__all__ = ["ShardedMatrixExperiment"]
 
 
 class ShardedMatrixExperiment(MatrixExperiment):
@@ -116,35 +113,3 @@ class ShardedMatrixExperiment(MatrixExperiment):
             self.network.flush_perf()
             result.perf_snapshot = self.perf.snapshot()
         return result
-
-
-def token_ring_builder(ctx: ShardContext) -> None:
-    """A tiny detached workload: a token circling the shard ring.
-
-    Module-level (hence picklable) so it exercises the **process**
-    executor: each shard counts the token's visits and runs a local
-    10 Hz tick; results must be identical under the serial, thread and
-    process executors.  Used by tests and as the reference example for
-    writing detached shard workloads.
-    """
-    state = {"visits": 0, "ticks": 0}
-
-    def on_token(hops: int) -> None:
-        state["visits"] += 1
-        ctx.send((ctx.lane + 1) % ctx.shards, 0.01, hops + 1)
-
-    def tick() -> None:
-        state["ticks"] += 1
-
-    ctx.on_receive(on_token)
-    ctx.sim.every(0.1, tick)
-    if ctx.lane == 0:
-        ctx.sim.at(0.0, lambda: ctx.send(1 % ctx.shards, 0.01, 0))
-    ctx.on_finish(
-        lambda: {
-            "lane": ctx.lane,
-            "visits": state["visits"],
-            "ticks": state["ticks"],
-            "end": ctx.sim.now,
-        }
-    )

@@ -55,11 +55,6 @@ def handles(*kinds: str) -> Callable[[F], F]:
     return decorate
 
 
-def registered_kinds(fn: Callable) -> tuple[str, ...]:
-    """The kinds a callable was decorated with (empty if undecorated)."""
-    return getattr(fn, _DISPATCH_ATTR, ())
-
-
 def build_dispatch_table(cls: type) -> dict[str, str]:
     """Compile the ``kind -> method name`` table for *cls*.
 
@@ -70,7 +65,7 @@ def build_dispatch_table(cls: type) -> dict[str, str]:
     for base in reversed(cls.__mro__):
         own: dict[str, str] = {}
         for name, attr in vars(base).items():
-            for kind in registered_kinds(attr):
+            for kind in getattr(attr, _DISPATCH_ATTR, ()):
                 claimed = own.get(kind)
                 if claimed is not None and claimed != name:
                     raise DispatchCollisionError(

@@ -135,10 +135,6 @@ class Network:
         """Look up a registered node by name."""
         return self._nodes[name]
 
-    def node_names(self) -> list[str]:
-        """Names of all registered nodes."""
-        return list(self._nodes)
-
     def set_pair_profile(self, src: str, dst: str, profile: LinkProfile) -> None:
         """Set the profile for the ordered pair ``src → dst``."""
         self._pair_profiles[(src, dst)] = profile

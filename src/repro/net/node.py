@@ -131,8 +131,10 @@ class Node(ABC):
             if processed is None:
                 return message
             self.network.transmit(processed)
+        elif self._network is None:
+            raise RuntimeError(f"node {self.name} not attached to a network")
         else:
-            self.network.transmit(message)
+            self._network.transmit(message)
         return message
 
     def handle_message(self, message: Message) -> None:

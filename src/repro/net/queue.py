@@ -17,6 +17,8 @@ from repro.net.message import Message
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
+_INF = float("inf")
+
 
 class ReceiveQueue:
     """A FIFO message queue with a fixed service rate.
@@ -119,7 +121,7 @@ class ReceiveQueue:
         if (
             not self._busy
             and not self._queue
-            and self._service_rate == float("inf")
+            and self._service_rate == _INF
             and (self._capacity is None or self._capacity > 0)
         ):
             # Fast path: an idle infinite-rate queue services in place —
@@ -159,7 +161,7 @@ class ReceiveQueue:
             self._busy = False
             return
         self._busy = True
-        if self._service_rate == float("inf"):
+        if self._service_rate == _INF:
             self._finish_one()
         else:
             delay = 1.0 / self._service_rate

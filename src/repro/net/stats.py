@@ -9,7 +9,7 @@ the counters those benchmarks read.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.message import Message
 
@@ -26,31 +26,32 @@ class Counter:
         self.bytes += size
 
 
-@dataclass
-class TrafficStats:
-    """Aggregated traffic counters with per-kind and per-pair breakdowns."""
+def _fold(table: dict, items) -> dict:
+    """Add each ``(key, counter)`` of *items* into *table*; returns it."""
+    for key, counter in items:
+        entry = table[key]
+        entry.messages += counter.messages
+        entry.bytes += counter.bytes
+    return table
 
-    total: Counter = field(default_factory=Counter)
-    by_kind: dict[str, Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
-    by_pair: dict[tuple[str, str], Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
-    by_node_sent: dict[str, Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
-    by_node_received: dict[str, Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
+
+class TrafficStats:
+    """Traffic counters: ``by_kind`` and ``by_pair`` are accumulated per
+    message; ``total`` and the per-node views are derived on read."""
+
+    def __init__(self) -> None:
+        self.by_kind: dict[str, Counter] = defaultdict(Counter)
+        self.by_pair: dict[tuple[str, str], Counter] = defaultdict(Counter)
 
     def record(self, message: Message) -> None:
         """Account one sent message."""
-        self.total.add(message.size_bytes)
-        self.by_kind[message.kind].add(message.size_bytes)
-        self.by_pair[(message.src, message.dst)].add(message.size_bytes)
-        self.by_node_sent[message.src].add(message.size_bytes)
-        self.by_node_received[message.dst].add(message.size_bytes)
+        size = message.size_bytes
+        counter = self.by_kind[message.kind]
+        counter.messages += 1
+        counter.bytes += size
+        counter = self.by_pair[(message.src, message.dst)]
+        counter.messages += 1
+        counter.bytes += size
 
     def merge_from(self, other: "TrafficStats") -> None:
         """Fold *other*'s counters into this one.
@@ -59,14 +60,28 @@ class TrafficStats:
         fixed order reproduces the single-kernel totals exactly — the
         sharded network accounts traffic per lane and merges on read.
         """
-        self.total.messages += other.total.messages
-        self.total.bytes += other.total.bytes
-        for table_name in ("by_kind", "by_pair", "by_node_sent", "by_node_received"):
-            mine = getattr(self, table_name)
-            for key, counter in getattr(other, table_name).items():
-                entry = mine[key]
-                entry.messages += counter.messages
-                entry.bytes += counter.bytes
+        _fold(self.by_kind, other.by_kind.items())
+        _fold(self.by_pair, other.by_pair.items())
+
+    @property
+    def total(self) -> Counter:
+        """All traffic, summed over ``by_kind``."""
+        counters = self.by_kind.values()
+        return Counter(
+            sum(c.messages for c in counters), sum(c.bytes for c in counters)
+        )
+
+    @property
+    def by_node_sent(self) -> dict[str, Counter]:
+        """Per-source-node traffic, summed over ``by_pair``."""
+        pairs = self.by_pair.items()
+        return _fold(defaultdict(Counter), ((src, c) for (src, _), c in pairs))
+
+    @property
+    def by_node_received(self) -> dict[str, Counter]:
+        """Per-destination-node traffic, summed over ``by_pair``."""
+        pairs = self.by_pair.items()
+        return _fold(defaultdict(Counter), ((dst, c) for (_, dst), c in pairs))
 
     def canonical_digest(self) -> str:
         """A key-order-independent serialisation of every counter.
@@ -93,22 +108,12 @@ class TrafficStats:
     # ------------------------------------------------------------------
     def kind_fraction(self, prefix: str) -> float:
         """Fraction of all messages whose kind starts with *prefix*."""
-        if self.total.messages == 0:
-            return 0.0
-        matching = sum(
-            counter.messages
-            for kind, counter in self.by_kind.items()
-            if kind.startswith(prefix)
-        )
-        return matching / self.total.messages
+        total = self.total.messages
+        return self.kind_messages(prefix) / total if total else 0.0
 
     def kind_bytes(self, prefix: str) -> int:
         """Total bytes of messages whose kind starts with *prefix*."""
-        return sum(
-            counter.bytes
-            for kind, counter in self.by_kind.items()
-            if kind.startswith(prefix)
-        )
+        return sum(counter.bytes for counter in self._kind_counters(prefix))
 
     def kind_messages(self, prefix: str) -> int:
         """Total messages whose kind starts with *prefix*.
@@ -117,11 +122,10 @@ class TrafficStats:
         traffic (``mirror.*``, ``p2p.*``, ``dht.*``) without touching
         the counter internals.
         """
-        return sum(
-            counter.messages
-            for kind, counter in self.by_kind.items()
-            if kind.startswith(prefix)
-        )
+        return sum(counter.messages for counter in self._kind_counters(prefix))
+
+    def _kind_counters(self, prefix: str) -> list[Counter]:
+        return [c for kind, c in self.by_kind.items() if kind.startswith(prefix)]
 
     def pair_bytes(self, src: str, dst: str) -> int:
         """Bytes sent from *src* to *dst*."""

@@ -23,8 +23,8 @@ delivery path) use it to avoid allocating a closure per message.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 #: Default priority for events.  Lower values fire first at equal times.
@@ -102,7 +102,7 @@ class EventQueue:
         """
         seq = next(self._counter)
         event = Event(time, priority, seq, callback, arg, label)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -113,7 +113,7 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
+            event = heappop(heap)[3]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -133,11 +133,11 @@ class EventQueue:
             entry = heap[0]
             event = entry[3]
             if event.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 continue
             if limit is not None and entry[0] > limit:
                 return None
-            heapq.heappop(heap)
+            heappop(heap)
             self._live -= 1
             return event
         return None
@@ -157,11 +157,11 @@ class EventQueue:
             entry = heap[0]
             event = entry[3]
             if event.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 continue
             if entry[0] >= limit:
                 return None
-            heapq.heappop(heap)
+            heappop(heap)
             self._live -= 1
             return event
         return None
@@ -177,7 +177,7 @@ class EventQueue:
         ordering inside a heap always reflects injection order.
         """
         event.seq = next(self._counter)
-        heapq.heappush(
+        heappush(
             self._heap, (event.time, event.priority, event.seq, event)
         )
         self._live += 1
@@ -187,7 +187,7 @@ class EventQueue:
         """Return the time of the earliest live event, or ``None`` if empty."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap:
             return None
         return heap[0][0]

@@ -117,9 +117,9 @@ class Simulator:
         """Schedule *callback* after a relative *delay* (seconds)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(
-            self._now + delay, callback, priority=priority, label=label, arg=arg
-        )
+        # ``now + delay`` is never in the past, so :meth:`at`'s check is
+        # skipped and the event goes straight onto the queue.
+        return self._queue.push(self._now + delay, callback, priority, label, arg)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""

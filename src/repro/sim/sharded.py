@@ -43,12 +43,6 @@ the global lane's execution is replicated bit-for-bit in every worker
 (same fork image, same injected messages in the same canonical order),
 no shared memory is needed and results stay byte-identical to the
 serial executor.
-
-The module also provides :func:`run_sharded_workload`: the same
-conservative protocol for *detached* shard workloads (pure
-message-passing between per-shard builders) under a ``spawn`` process
-executor — the lighter-weight path when the workload has no shared
-control plane at all.
 """
 
 from __future__ import annotations
@@ -70,10 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "GLOBAL_LANE",
     "LaneSimulator",
-    "ShardContext",
     "ShardWorkerError",
     "ShardedSimulator",
-    "run_sharded_workload",
 ]
 
 #: Lane index of the global (control) lane in engine bookkeeping.
@@ -1007,250 +999,3 @@ class _ProcessLanes:
             counter.value = own_value + added_value
             new_extra[name] = (added_count, added_value)
         self._perf_extra = new_extra
-
-
-# ----------------------------------------------------------------------
-# Detached shard workloads (the spawn process executor's domain)
-# ----------------------------------------------------------------------
-class ShardContext:
-    """What a detached shard builder gets to work with.
-
-    The builder installs events on ``ctx.sim`` (a plain
-    :class:`Simulator`), exchanges data with other shards *only*
-    through :meth:`send` / :meth:`on_receive`, and registers the
-    shard's result via :meth:`on_finish`.  Because a shard touches
-    nothing outside its context, the whole shard can live in its own
-    spawned process.
-    """
-
-    def __init__(self, sim: Simulator, lane: int, shards: int, seed: int) -> None:
-        self.sim = sim
-        self.lane = lane
-        self.shards = shards
-        self.seed = seed
-        self._outbound: list[tuple[float, int, int, Any]] = []
-        self._seq = 0
-        self._receive: Callable[[Any], None] | None = None
-        self._finish: Callable[[], Any] | None = None
-
-    def send(self, dst_lane: int, delay: float, payload: Any) -> None:
-        """Ship *payload* to *dst_lane*, arriving after *delay* seconds.
-
-        *delay* must be at least the workload's lookahead; the master
-        asserts this at every exchange.
-        """
-        self._outbound.append(
-            (self.sim.now + delay, self._seq, dst_lane, payload)
-        )
-        self._seq += 1
-
-    def on_receive(self, handler: Callable[[Any], None]) -> None:
-        """Handler invoked (in simulation time) for inbound payloads."""
-        self._receive = handler
-
-    def on_finish(self, result_fn: Callable[[], Any]) -> None:
-        """Called once after the run; its return value is the shard's
-        result (must be picklable under the process executor)."""
-        self._finish = result_fn
-
-
-class _DetachedShard:
-    """One detached shard: simulator + mailbox, executor-agnostic."""
-
-    def __init__(
-        self, builder: Callable[[ShardContext], None],
-        lane: int, shards: int, seed: int,
-    ) -> None:
-        self.sim = Simulator()
-        self.ctx = ShardContext(self.sim, lane, shards, seed)
-        builder(self.ctx)
-
-    def next_time(self) -> float | None:
-        return self.sim._queue.peek_time()
-
-    def step(
-        self,
-        barrier: float,
-        inbound: list[tuple[float, Any]],
-        inclusive: bool = False,
-    ) -> tuple[float | None, list[tuple[float, int, int, Any]]]:
-        handler = self.ctx._receive
-        for arrival, payload in inbound:
-            if handler is None:
-                raise SimulationError(
-                    f"shard {self.ctx.lane} received a payload but "
-                    f"registered no on_receive handler"
-                )
-            self.sim.at(arrival, handler, arg=payload)
-        self.sim.run_window(barrier, inclusive=inclusive)
-        outbound = self.ctx._outbound
-        self.ctx._outbound = []
-        return self.next_time(), outbound
-
-    def finish(self) -> Any:
-        return self.ctx._finish() if self.ctx._finish is not None else None
-
-
-def _detached_worker_main(conn, builder, lane, shards, seed) -> None:
-    """Process-executor worker loop: one detached shard per process."""
-    shard = _DetachedShard(builder, lane, shards, seed)
-    conn.send(shard.next_time())
-    while True:
-        command = conn.recv()
-        if command[0] == "step":
-            _, barrier, inbound, inclusive = command
-            conn.send(shard.step(barrier, inbound, inclusive))
-        elif command[0] == "finish":
-            conn.send(shard.finish())
-            conn.close()
-            return
-
-
-class _LocalShardPool:
-    """Serial/thread transport over in-process detached shards."""
-
-    def __init__(self, builder, shards, seed, threaded: bool) -> None:
-        self._shards = [
-            _DetachedShard(builder, lane, shards, seed)
-            for lane in range(shards)
-        ]
-        self._pool = None
-        if threaded and shards > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=shards)
-
-    def next_times(self) -> list[float | None]:
-        return [shard.next_time() for shard in self._shards]
-
-    def step_all(self, barrier, inbound_per_lane, inclusive):
-        if self._pool is None:
-            return [
-                shard.step(barrier, inbound_per_lane[lane], inclusive)
-                for lane, shard in enumerate(self._shards)
-            ]
-        futures = [
-            self._pool.submit(shard.step, barrier, inbound_per_lane[lane], inclusive)
-            for lane, shard in enumerate(self._shards)
-        ]
-        return [future.result() for future in futures]
-
-    def finish_all(self):
-        results = [shard.finish() for shard in self._shards]
-        if self._pool is not None:
-            self._pool.shutdown()
-        return results
-
-
-class _ProcessShardPool:
-    """Spawn transport: each detached shard in its own interpreter."""
-
-    def __init__(self, builder, shards, seed) -> None:
-        from multiprocessing import get_context
-
-        context = get_context("spawn")
-        self._connections = []
-        self._processes = []
-        self._first_times: list[float | None] = []
-        for lane in range(shards):
-            parent, child = context.Pipe()
-            process = context.Process(
-                target=_detached_worker_main,
-                args=(child, builder, lane, shards, seed),
-                daemon=True,
-            )
-            process.start()
-            child.close()
-            self._connections.append(parent)
-            self._processes.append(process)
-        self._first_times = [conn.recv() for conn in self._connections]
-
-    def next_times(self) -> list[float | None]:
-        return list(self._first_times)
-
-    def step_all(self, barrier, inbound_per_lane, inclusive):
-        for lane, conn in enumerate(self._connections):
-            conn.send(("step", barrier, inbound_per_lane[lane], inclusive))
-        replies = [conn.recv() for conn in self._connections]
-        self._first_times = [reply[0] for reply in replies]
-        return replies
-
-    def finish_all(self):
-        for conn in self._connections:
-            conn.send(("finish",))
-        results = [conn.recv() for conn in self._connections]
-        for conn in self._connections:
-            conn.close()
-        for process in self._processes:
-            process.join(timeout=10.0)
-        return results
-
-
-def run_sharded_workload(
-    builder: Callable[[ShardContext], None],
-    shards: int,
-    until: float,
-    lookahead: float,
-    executor: str = "serial",
-    seed: int = 0,
-) -> list[Any]:
-    """Run a detached sharded workload and return per-shard results.
-
-    *builder* (a module-level callable when ``executor="process"`` —
-    it is shipped by pickle) receives a :class:`ShardContext` and wires
-    one shard.  The master then drives the same conservative protocol
-    the engine uses: windows bounded by ``min(next event) + lookahead``,
-    cross-shard payloads exchanged at barriers in canonical
-    ``(time, seq, shard)`` order.  Results are identical across the
-    ``serial``, ``thread`` and ``process`` executors.
-    """
-    if shards < 1:
-        raise SimulationError(f"shards must be >= 1, got {shards}")
-    if lookahead <= 0:
-        raise SimulationError(f"lookahead must be positive: {lookahead}")
-    if executor == "process":
-        pool: _LocalShardPool | _ProcessShardPool = _ProcessShardPool(
-            builder, shards, seed
-        )
-    elif executor in ("serial", "thread"):
-        pool = _LocalShardPool(builder, shards, seed, executor == "thread")
-    else:
-        raise SimulationError(
-            f"unknown workload executor {executor!r}; "
-            f"expected serial, thread or process"
-        )
-    barrier = 0.0
-    inbound_per_lane: list[list[tuple[float, Any]]] = [[] for _ in range(shards)]
-    while True:
-        # The conservative horizon covers shard heaps *and* payloads
-        # awaiting delivery — an undelivered arrival is a future event.
-        pending = [t for t in pool.next_times() if t is not None]
-        for lane_inbound in inbound_per_lane:
-            pending.extend(arrival for arrival, _ in lane_inbound)
-        if not pending:
-            barrier = until
-            inclusive = True
-        else:
-            barrier = min(min(pending) + lookahead, until)
-            inclusive = barrier >= until
-        replies = pool.step_all(barrier, inbound_per_lane, inclusive)
-        inbound_per_lane = [[] for _ in range(shards)]
-        transfers: list[tuple[float, int, int, int, Any]] = []
-        for src_lane, reply in enumerate(replies):
-            for arrival, seq, dst_lane, payload in reply[1]:
-                transfers.append((arrival, seq, src_lane, dst_lane, payload))
-        # Canonical (time, seq, shard) exchange order.
-        transfers.sort(key=lambda entry: entry[:3])
-        for arrival, _seq, _src, dst_lane, payload in transfers:
-            if arrival < barrier:
-                raise SimulationError(
-                    f"cross-shard payload arriving at t={arrival} inside "
-                    f"the lookahead window (barrier {barrier})"
-                )
-            inbound_per_lane[dst_lane].append((arrival, payload))
-        if inclusive and not any(inbound_per_lane):
-            break
-        if inclusive and barrier >= until:
-            # Inbound at exactly the horizon: one more inclusive step.
-            continue
-    return pool.finish_all()

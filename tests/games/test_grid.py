@@ -68,7 +68,30 @@ def test_bad_cell_size():
         SpatialGrid(0.0)
 
 
-@settings(max_examples=50, deadline=None)
+def brute_count(entities, query, radius, cap, exclude=None):
+    """``min(true count, cap)`` by scanning every entity."""
+    qx, qy = query
+    found = sum(
+        1
+        for i, (x, y) in enumerate(entities)
+        if i != exclude and (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
+    )
+    return min(found, cap)
+
+
+def grid_count(cell, entities, query, radius, cap, exclude=None):
+    grid = SpatialGrid(cell)
+    for i, (x, y) in enumerate(entities):
+        grid.insert(f"e{i}", Vec2(x, y))
+    return grid.count_within(
+        Vec2(*query),
+        radius,
+        cap=cap,
+        exclude_id=None if exclude is None else f"e{exclude}",
+    )
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     entities=st.lists(
         st.tuples(
@@ -81,16 +104,57 @@ def test_bad_cell_size():
     qy=st.floats(min_value=-100, max_value=100),
     radius=st.floats(min_value=0.1, max_value=150.0),
     cell=st.floats(min_value=1.0, max_value=50.0),
+    cap=st.integers(min_value=1, max_value=50),
+    exclude=st.one_of(st.none(), st.integers(min_value=0, max_value=39)),
 )
-def test_property_matches_brute_force(entities, qx, qy, radius, cell):
-    grid = SpatialGrid(cell)
-    for i, (x, y) in enumerate(entities):
-        grid.insert(f"e{i}", Vec2(x, y))
-    query = Vec2(qx, qy)
-    expected = sum(
-        1
-        for x, y in entities
-        if (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
-    )
-    got = grid.count_within(query, radius, cap=1000)
+def test_property_matches_brute_force(
+    entities, qx, qy, radius, cell, cap, exclude
+):
+    expected = brute_count(entities, (qx, qy), radius, cap, exclude)
+    assert grid_count(cell, entities, (qx, qy), radius, cap, exclude) == expected
+
+
+#: Offsets, in units of ``radius / 5``, that land exactly on the rim of
+#: the query disc (3-4-5 triangles and the axis points).
+RIM = [
+    (dx * sx, dy * sy)
+    for dx, dy in ((5, 0), (0, 5), (3, 4), (4, 3))
+    for sx in (1, -1)
+    for sy in (1, -1)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    unit=st.integers(min_value=1, max_value=4),
+    query=st.tuples(
+        st.integers(min_value=-15, max_value=15),
+        st.integers(min_value=-15, max_value=15),
+    ),
+    others=st.lists(
+        st.tuples(
+            st.integers(min_value=-20, max_value=20),
+            st.integers(min_value=-20, max_value=20),
+        ),
+        max_size=30,
+    ),
+    cap=st.integers(min_value=1, max_value=60),
+    exclude=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
+)
+def test_radius_equal_to_cell_counts_edges_and_rim(
+    unit, query, others, cap, exclude
+):
+    """The hot configuration: the grid's cell is the visibility radius.
+
+    Coordinates are integer multiples of ``radius / 5`` (an integer), so
+    the arithmetic is exact: queries and entities sit on cell edges
+    (every fifth step) and on the disc's rim, where a scan one ring too
+    narrow would miss them.
+    """
+    radius = 5.0 * unit
+    qx, qy = query[0] * unit, query[1] * unit
+    entities = [(qx + dx * unit, qy + dy * unit) for dx, dy in RIM]
+    entities += [(x * unit, y * unit) for x, y in others]
+    expected = brute_count(entities, (qx, qy), radius, cap, exclude)
+    got = grid_count(radius, entities, (qx, qy), radius, cap, exclude)
     assert got == expected

@@ -154,6 +154,12 @@ def test_detached_node_raises():
         _ = node.inbox
 
 
+def test_send_on_unattached_node_raises_naming_it():
+    node = Recorder("lonely")
+    with pytest.raises(RuntimeError, match="node lonely not attached"):
+        node.send("x", "test", None, size_bytes=1)
+
+
 def test_messages_to_self_allowed():
     sim, net = make_net()
     a = net.add_node(Recorder("a"))

@@ -1,12 +1,10 @@
 """Tests for the space-partitioned parallel kernel.
 
-Three layers, mirroring the module:
+Two layers, mirroring the module:
 
 * engine unit tests — the :class:`ShardedSimulator` facade, cross-lane
   deferral, and the window-boundary edge cases (an event scheduled at
   exactly the barrier time, and at exactly the horizon);
-* detached workloads — :func:`run_sharded_workload` must produce
-  identical results under the serial, thread and process executors;
 * Matrix determinism — the tentpole's acceptance bar: byte-identical
   ``TrafficStats`` (canonical digest) and sweep metrics for shards=1
   vs shards=4 on fig2-hotspot and steady-churn.
@@ -19,13 +17,8 @@ from repro.core.config import LoadPolicyConfig
 from repro.games.profile import profile_by_name
 from repro.harness.compare import scaled_profile
 from repro.harness.runner import run_scenario
-from repro.harness.shards import token_ring_builder
 from repro.sim.kernel import SimulationError
-from repro.sim.sharded import (
-    ShardedSimulator,
-    ShardWorkerError,
-    run_sharded_workload,
-)
+from repro.sim.sharded import ShardedSimulator, ShardWorkerError
 from repro.workload.scenarios import build_scenario
 
 
@@ -187,38 +180,6 @@ class TestShardedSimulatorFacade:
         assert snapshot["counters"]["shard.windows"]["count"] == (
             engine.windows_run
         )
-
-
-# ----------------------------------------------------------------------
-# Detached workloads: serial == thread == process
-# ----------------------------------------------------------------------
-class TestDetachedWorkloads:
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            run_sharded_workload(token_ring_builder, 0, 1.0, 0.01)
-        with pytest.raises(SimulationError):
-            run_sharded_workload(token_ring_builder, 2, 1.0, 0.0)
-        with pytest.raises(SimulationError):
-            run_sharded_workload(
-                token_ring_builder, 2, 1.0, 0.01, executor="quantum"
-            )
-
-    def test_token_ring_identical_across_executors(self):
-        results = {
-            executor: run_sharded_workload(
-                token_ring_builder,
-                shards=3,
-                until=2.0,
-                lookahead=0.01,
-                executor=executor,
-            )
-            for executor in ("serial", "thread", "process")
-        }
-        assert results["serial"] == results["thread"]
-        assert results["serial"] == results["process"]
-        visits = sum(row["visits"] for row in results["serial"])
-        ticks = sum(row["ticks"] for row in results["serial"])
-        assert visits > 0 and ticks > 0
 
 
 # ----------------------------------------------------------------------
